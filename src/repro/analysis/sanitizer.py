@@ -1,10 +1,11 @@
 """``SimSanitizer`` — opt-in runtime invariant checking for the engine.
 
 Enabled with ``REPRO_SANITIZE=1`` in the environment or
-``Simulator(sanitize=True)``.  When off, the simulator carries a single
-``sanitizer is None`` check per run call and nothing else; when on, the
-sanitizer substitutes its own (semantically identical, uninlined) event
-loops and tracks:
+``Simulator(sanitize=True)``.  The sanitizer is an observer of the
+engine's one event loop: ``Simulator._drain`` calls :meth:`on_event`
+for each event before the clock moves, so the loop it checks is the
+loop that produces the published numbers.  When off, the loop pays one
+``is None`` check per event.  It tracks:
 
 * **packet lifetime** — every ``PacketPool.acquire`` is recorded with
   its allocation site; double releases raise immediately with both
@@ -14,8 +15,8 @@ loops and tracks:
   with its arming site; tokens neither dispatched nor ``.cancel()``ed
   by end-of-run are reported (a started engine that is never stopped
   shows up here),
-* **clock monotonicity** — the event loop asserts dispatch timestamps
-  never run backwards,
+* **clock monotonicity** — dispatch timestamps must never run
+  backwards,
 * **event-stream digest** — every dispatched event folds into a blake2b
   checksum (:meth:`Simulator.digest`) that tests assert equal across
   seeds and ``--parallel`` fan-out.
@@ -26,13 +27,12 @@ why the sanitizer is opt-in and the default path stays allocation-free.
 
 from __future__ import annotations
 
-import heapq
 import os
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.digest import EventDigest
-from repro.sim.engine import EventToken, Process, SimulationError
+from repro.sim.engine import EventToken, SimulationError
 
 __all__ = ["SanitizerError", "SimSanitizer", "sanitize_enabled"]
 
@@ -79,6 +79,15 @@ class SimSanitizer:
     def on_token(self, token: EventToken) -> None:
         self._armed[id(token)] = (token, _capture_site())
 
+    def on_event(self, when: float, seq: int, callback: Any) -> None:
+        """Observe one event popped by the engine, before the clock moves."""
+        now = self.sim.now
+        if when < now:
+            self.monotonic_violations.append((now, when))
+        self.digest.update(when, seq, callback.__class__.__name__)
+        if callback.__class__ is EventToken:
+            self._armed.pop(id(callback), None)
+
     def on_acquire(self, pool, packet) -> None:
         self._freed.pop(id(packet), None)
         self._outstanding[id(packet)] = (packet, _capture_site())
@@ -100,74 +109,6 @@ class SimSanitizer:
         # guards this already, but a direct pool.release(pkt) can reach
         # here.  Count it rather than raise — it is benign by design.
         self.foreign_releases += 1
-
-    # ------------------------------------------------------------------
-    # Instrumented event loops (semantics mirror Simulator.run*)
-    # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> float:
-        sim = self.sim
-        queue = sim._queue
-        pop = heapq.heappop
-        digest = self.digest
-        armed = self._armed
-        dispatched = 0
-        try:
-            while queue:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    sim.now = until
-                    return until
-                _w, seq, callback = pop(queue)
-                if when < sim.now:
-                    self.monotonic_violations.append((sim.now, when))
-                sim.now = when
-                dispatched += 1
-                digest.update(when, seq, callback.__class__.__name__)
-                if callback.__class__ is EventToken:
-                    armed.pop(id(callback), None)
-                callback()
-            if until is not None and sim.now < until:
-                sim.now = until
-            return sim.now
-        finally:
-            sim.events_dispatched += dispatched
-            sim._tel_events.inc(dispatched)
-
-    def run_until_complete(
-        self, process: Process, deadline: Optional[float] = None
-    ) -> Any:
-        sim = self.sim
-        queue = sim._queue
-        pop = heapq.heappop
-        digest = self.digest
-        armed = self._armed
-        completion = process._completion
-        dispatched = 0
-        try:
-            while not completion._done:
-                if not queue:
-                    raise SimulationError(
-                        f"deadlock: no events pending but process "
-                        f"{process.name!r} alive"
-                    )
-                when = queue[0][0]
-                if deadline is not None and when > deadline:
-                    raise SimulationError(
-                        f"process {process.name!r} missed deadline {deadline}"
-                    )
-                _w, seq, callback = pop(queue)
-                if when < sim.now:
-                    self.monotonic_violations.append((sim.now, when))
-                sim.now = when
-                dispatched += 1
-                digest.update(when, seq, callback.__class__.__name__)
-                if callback.__class__ is EventToken:
-                    armed.pop(id(callback), None)
-                callback()
-            return completion.value
-        finally:
-            sim.events_dispatched += dispatched
-            sim._tel_events.inc(dispatched)
 
     # ------------------------------------------------------------------
     # End-of-run checks

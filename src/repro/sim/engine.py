@@ -25,9 +25,13 @@ Hot-path design notes:
   pushed directly onto the heap — no per-step lambda or bound-method
   allocation.  The pending send/throw value rides in mailbox slots on
   the process.
-* The run loops dispatch process steps inline (one heap pop, zero
-  intermediate Python frames for the common resume-after-delay case)
-  and batch the event counter into a single telemetry call per run.
+* One loop, ``Simulator._drain``, serves both ``run`` and
+  ``run_until_complete``.  It dispatches process steps inline (one heap
+  pop, zero intermediate Python frames for the common
+  resume-after-delay case) and batches the event counter into a single
+  telemetry call per drain.  The sanitizer observes that same loop, one
+  call per event; with it off the loop pays one ``is None`` check per
+  event.
 * Cancellation goes through :class:`EventToken` (lazy deletion: a
   cancelled token stays in the heap and dispatches as a no-op), so the
   common non-cancellable path pays nothing for the feature.
@@ -36,6 +40,7 @@ Hot-path design notes:
 from __future__ import annotations
 
 import heapq
+import os
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -312,6 +317,28 @@ class Process:
         heapq.heappush(sim._queue, (sim.now, next(sim._sequence), self))
 
 
+#: Stop bound for an unbounded drain.
+_INF = float("inf")
+#: Completion that never resolves: ``run`` drains without a target process.
+_NEVER_DONE = Future(None)
+
+
+def _suspended_at(generator: Any) -> str:
+    """``file:line in func`` where a generator is parked.
+
+    Follows the ``yield from`` chain to the innermost generator frame.
+    """
+    where = "<not started or finished>"
+    while generator is not None:
+        frame = getattr(generator, "gi_frame", None)
+        if frame is None:
+            break
+        code = frame.f_code
+        where = f"{os.path.basename(code.co_filename)}:{frame.f_lineno} in {code.co_name}"
+        generator = generator.gi_yieldfrom
+    return where
+
+
 class Simulator:
     """The event loop: a clock plus a deterministic priority queue."""
 
@@ -455,20 +482,60 @@ class Simulator:
         ``until=None`` the run continues until no events remain (which
         never happens while periodic processes are alive — pass a bound).
         """
-        if self.sanitizer is not None:
-            return self.sanitizer.run(until)
+        self._drain(_INF if until is None else until, _NEVER_DONE)
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+    def run_until_complete(self, process: Process, deadline: Optional[float] = None) -> Any:
+        """Run until ``process`` terminates; return its result.
+
+        Raises :class:`SimulationError` if the event queue empties or the
+        ``deadline`` passes before the process completes.  The deadline
+        check peeks at the head event before popping, so an over-deadline
+        event stays queued rather than being silently discarded.  A
+        deadlock error names every live process and the ``file:line in
+        func`` it is suspended at.
+        """
+        completion = process._completion
+        self._drain(_INF if deadline is None else deadline, completion)
+        if not completion._done:
+            if self._queue:
+                raise SimulationError(
+                    f"process {process.name!r} missed deadline {deadline}"
+                )
+            raise SimulationError(
+                f"deadlock: no events pending but process {process.name!r} "
+                "alive; live processes:\n  "
+                + "\n  ".join(
+                    f"{live.name!r} suspended at {_suspended_at(live._generator)}"
+                    for live in self._live
+                )
+            )
+        return completion.value
+
+    def _drain(self, until: float, completion: Future) -> None:
+        """The event loop: dispatch in ``(when, seq)`` order.
+
+        Stops when ``completion`` is done, the queue empties, or the head
+        event lies past ``until`` (that event stays queued).  The
+        sanitizer, when attached, observes each event before the clock
+        moves.
+        """
         queue = self._queue
         pop = heapq.heappop
         push = heapq.heappush
         sequence = self._sequence
+        observe = None if self.sanitizer is None else self.sanitizer.on_event
         dispatched = 0
         try:
-            while queue:
+            while not completion._done and queue:
                 when = queue[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return until
-                _w, _seq, callback = pop(queue)
+                if when > until:
+                    break
+                _w, seq, callback = pop(queue)
+                if observe is not None:
+                    observe(when, seq, callback)
                 self.now = when
                 dispatched += 1
                 # Inline dispatch of the common case — a process resuming
@@ -498,68 +565,6 @@ class Simulator:
                     callback._wait_on(target)
                 else:
                     callback()
-            if until is not None and self.now < until:
-                self.now = until
-            return self.now
-        finally:
-            self.events_dispatched += dispatched
-            self._tel_events.inc(dispatched)
-
-    def run_until_complete(self, process: Process, deadline: Optional[float] = None) -> Any:
-        """Run until ``process`` terminates; return its result.
-
-        Raises :class:`SimulationError` if the event queue empties or the
-        ``deadline`` passes before the process completes.  The deadline
-        check peeks at the head event before popping, so an over-deadline
-        event stays queued rather than being silently discarded.
-        """
-        if self.sanitizer is not None:
-            return self.sanitizer.run_until_complete(process, deadline)
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        sequence = self._sequence
-        completion = process._completion
-        dispatched = 0
-        try:
-            while not completion._done:
-                if not queue:
-                    raise SimulationError(
-                        f"deadlock: no events pending but process {process.name!r} alive"
-                    )
-                when = queue[0][0]
-                if deadline is not None and when > deadline:
-                    raise SimulationError(
-                        f"process {process.name!r} missed deadline {deadline}"
-                    )
-                _w, _seq, callback = pop(queue)
-                self.now = when
-                dispatched += 1
-                if callback.__class__ is Process:
-                    throw = callback._throw_exc
-                    try:
-                        if throw is None:
-                            send_value = callback._send_value
-                            callback._send_value = None
-                            target = callback._send(send_value)
-                        else:
-                            callback._throw_exc = None
-                            target = callback._generator.throw(throw)
-                    except StopIteration as stop:
-                        callback._completion.resolve(stop.value)
-                        continue
-                    except BaseException as exc:  # noqa: BLE001
-                        callback._completion.fail(exc)
-                        continue
-                    tcls = target.__class__
-                    if tcls is float or tcls is int:
-                        if target >= 0:
-                            push(queue, (when + target, next(sequence), callback))
-                            continue
-                    callback._wait_on(target)
-                else:
-                    callback()
-            return completion.value
         finally:
             self.events_dispatched += dispatched
             self._tel_events.inc(dispatched)

@@ -8,9 +8,8 @@ instruments the experiment harness uses to produce those numbers.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.sim.units import S
 
@@ -63,59 +62,31 @@ class BandwidthMeter:
 
 @dataclass
 class LatencyRecorder:
-    """Collects per-operation latencies and reports summary statistics.
-
-    By default every sample is kept.  Setting ``max_samples`` switches to
-    bounded-memory mode: count, sum, and max stay exact while the sample
-    list becomes a uniform reservoir (Vitter's Algorithm R, seeded for
-    determinism) from which the percentile estimates are drawn.
-    """
+    """Collects per-operation latencies and reports summary statistics."""
 
     samples_ns: list[float] = field(default_factory=list)
-    #: Keep at most this many samples (``None`` = unbounded).
-    max_samples: Optional[int] = None
-    #: Reservoir RNG seed; same seed + same inputs = same percentiles.
-    seed: int = 0
-    _count: int = field(default=0, repr=False)
-    _sum_ns: float = field(default=0.0, repr=False)
-    _max_ns: float = field(default=0.0, repr=False)
-    _rng: Optional[random.Random] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.max_samples is not None and self.max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1: {self.max_samples}")
 
     def record(self, latency_ns: float) -> None:
         if latency_ns < 0:
             raise ValueError(f"negative latency: {latency_ns}")
-        self._count += 1
-        self._sum_ns += latency_ns
-        if latency_ns > self._max_ns:
-            self._max_ns = latency_ns
-        if self.max_samples is None or len(self.samples_ns) < self.max_samples:
-            self.samples_ns.append(latency_ns)
-            return
-        if self._rng is None:
-            self._rng = random.Random(self.seed)
-        slot = self._rng.randrange(self._count)
-        if slot < self.max_samples:
-            self.samples_ns[slot] = latency_ns
+        self.samples_ns.append(latency_ns)
 
     def __len__(self) -> int:
         return len(self.samples_ns)
 
     @property
     def count(self) -> int:
-        # Exact even in reservoir mode; falls back to the list length for
-        # recorders built around a pre-populated ``samples_ns``.
-        return max(self._count, len(self.samples_ns))
+        return len(self.samples_ns)
 
     def mean_ns(self) -> float:
-        if self._count:
-            return self._sum_ns / self._count
         if not self.samples_ns:
             raise ValueError("no samples recorded")
-        return sum(self.samples_ns) / len(self.samples_ns)
+        # Plain left-to-right addition: sum() of floats is compensated
+        # from Python 3.12 on, which would make the mean version-dependent.
+        total = 0.0
+        for sample in self.samples_ns:
+            total += sample
+        return total / len(self.samples_ns)
 
     def median_us(self) -> float:
         return percentile(self.samples_ns, 0.5) / 1_000.0
@@ -130,10 +101,9 @@ class LatencyRecorder:
         return percentile(self.samples_ns, 0.999)
 
     def max_us(self) -> float:
-        if not self.samples_ns and not self._count:
+        if not self.samples_ns:
             raise ValueError("no samples recorded")
-        observed = max(self.samples_ns) if self.samples_ns else 0.0
-        return max(self._max_ns, observed) / 1_000.0
+        return max(self.samples_ns) / 1_000.0
 
 
 def mops(ops: int, elapsed_ns: float) -> float:

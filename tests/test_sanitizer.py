@@ -1,11 +1,14 @@
 """Unit tests for the runtime ``SimSanitizer``.
 
 Covers the four detector families (packet lifetime, timer tokens,
-clock monotonicity, event-stream digest) plus the acceptance criterion
-that a fig08 sweep's ``sim.digest`` is identical at ``--parallel 1``
-and ``--parallel 4``.
+clock monotonicity, event-stream digest), the acceptance criterion that
+a fig08 sweep's ``sim.digest`` is identical at ``--parallel 1`` and
+``--parallel 4``, and that the sanitizer is a pure observer: every
+system's results are identical with it on or off, and pinned digests
+show the engine dispatches the same event stream.
 """
 
+import dataclasses
 import heapq
 import json
 
@@ -13,10 +16,17 @@ import pytest
 
 from repro import telemetry
 from repro.analysis import SanitizerError, sanitize_enabled
-from repro.experiments.common import run_microbench
+from repro.experiments.common import (
+    MICROBENCH_SYSTEMS,
+    build_microbench,
+    drive_probe_workload,
+    run_microbench,
+)
 from repro.experiments.sweep import SweepPoint, run_sweep
 from repro.rdma.packets import Bth, Opcode, PacketPool
+from repro.sim.cpu import CostModel
 from repro.sim.engine import SimulationError, Simulator
+from repro.workloads.hashtable import HashTable, HashTableConfig
 
 
 def make_pool(sim):
@@ -27,6 +37,22 @@ def acquire(pool):
     return pool.acquire(
         "a", "b", Bth(opcode=Opcode.RC_SEND_ONLY, dest_qp=1, psn=0)
     )
+
+
+def probe_point(system, monkeypatch, sanitize):
+    """One 2-thread, 256 B, 40-ops-per-thread probe run at seed 3."""
+    if sanitize:
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    else:
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    cost = CostModel()
+    table = HashTable(HashTableConfig(record_bytes=256, ops_per_thread=40))
+    deployment = build_microbench(
+        system, 2, remote_bytes=max(table.remote_bytes_needed(), 1 << 16),
+        cost=cost, seed=3,
+    )
+    result = drive_probe_workload(deployment, table, cost, seed=3)
+    return deployment, result
 
 
 class TestEnvGate:
@@ -186,3 +212,25 @@ class TestEndToEnd:
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             fanned, sort_keys=True
         )
+
+
+class TestPureObserver:
+    @pytest.mark.parametrize("system", MICROBENCH_SYSTEMS)
+    def test_results_identical_with_sanitizer_on_and_off(
+        self, system, monkeypatch
+    ):
+        _, off = probe_point(system, monkeypatch, sanitize=False)
+        _, on = probe_point(system, monkeypatch, sanitize=True)
+        assert dataclasses.asdict(on) == dataclasses.asdict(off)
+
+    @pytest.mark.parametrize(
+        ("system", "digest"),
+        [
+            ("cowbird", "030b1989b8a1d9db839848a1b166525f"),
+            ("cowbird-p4", "590c00e0ba940ff27c21a53e0091f46b"),
+        ],
+    )
+    def test_event_stream_digest_pinned(self, system, digest, monkeypatch):
+        deployment, _ = probe_point(system, monkeypatch, sanitize=True)
+        # Read after drive_probe_workload's close(), i.e. post-drain.
+        assert deployment.sim.digest() == digest

@@ -251,12 +251,20 @@ class TestProcess:
     def test_deadlock_detection(self):
         sim = Simulator()
 
-        def proc():
+        def wait_forever():
             yield sim.future()  # never resolved
 
-        process = sim.spawn(proc())
-        with pytest.raises(SimulationError, match="deadlock"):
+        def proc():
+            yield from wait_forever()
+
+        process = sim.spawn(proc(), name="stuck-worker")
+        with pytest.raises(SimulationError, match="deadlock") as excinfo:
             sim.run_until_complete(process)
+        message = str(excinfo.value)
+        # Names the blocked process and the innermost function of its
+        # ``yield from`` chain, as file:line in func.
+        assert "'stuck-worker' suspended at test_sim_engine.py:" in message
+        assert "in wait_forever" in message
 
     def test_deadline_enforced(self):
         sim = Simulator()
