@@ -1,21 +1,24 @@
 """The cluster layer: declarative deployments for every experiment.
 
-Three pieces (ISSUE 4 / DESIGN.md "Cluster layer"):
+Three pieces (DESIGN.md §4b):
 
 * :class:`~repro.cluster.spec.ScenarioSpec` — dataclasses loadable from
   JSON/TOML describing hosts, links, memory pools (including
   :class:`~repro.memory.pool.ShardedPool` striping), engines, and the
-  workload; run them with ``repro run scenario <file>``;
+  workload; ``validate()`` rejects bad input with a message naming the
+  field; run them with ``repro run scenario <file>``;
 * :class:`~repro.cluster.registry.SystemRegistry` — pluggable builders
   keyed by legend name; importing this package registers all ten
-  evaluation systems (``repro.cluster.builders``);
+  evaluation systems (``repro.cluster.builders``), which
+  ``repro.experiments.common.build_microbench`` — the one assembly
+  path — dispatches to;
 * :class:`~repro.cluster.engine.OffloadEngine` — the protocol both
   Cowbird engines implement so nothing outside the engine modules
   touches engine-specific wiring.
 
 The scenario *runner* lives in :mod:`repro.cluster.scenario` (imported
-lazily by the CLI — it depends on the experiment harness, which in turn
-builds through this package's registry).
+lazily by the CLI): it calls ``run_microbench`` with a spec's fields,
+and the experiment harness in turn builds through this package.
 """
 
 from repro.cluster.engine import OffloadEngine

@@ -1,12 +1,10 @@
-"""Build and run deployments described by :class:`ScenarioSpec`.
+"""Run deployments described by :class:`ScenarioSpec`.
 
-This is the execution half of the declarative layer: a validated spec
-becomes a :class:`~repro.experiments.common.MicrobenchDeployment`
-(testbed with the spec's link parameters, compute host with the spec's
-shape, system resolved through the registry — including sharded pools
-and engine-config overrides) and then runs the same Section 8.1 probe
-workload the figures use, so a scenario that mirrors a figure point
-reproduces its numbers exactly.
+The execution half of the declarative layer.  A scenario is
+``run_microbench`` called with the spec's fields (compute shape, link
+parameters, pool shards, engine-config overrides, workload), so it
+builds through the same ``build_microbench`` the figures use, and a
+scenario that mirrors a figure point reproduces its numbers exactly.
 
 Kept out of ``repro.cluster.__init__``: this module imports the
 experiment harness, which itself builds through the cluster registry.
@@ -16,65 +14,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster.registry import SYSTEMS, BuildContext
 from repro.cluster.spec import ScenarioSpec
+from repro.experiments.common import run_microbench
 from repro.sim.cpu import CostModel
-from repro.testbed import Testbed
 
-__all__ = ["build_scenario", "run_scenario"]
-
-
-def _make_table(spec: ScenarioSpec):
-    from repro.workloads.hashtable import HashTable, HashTableConfig
-
-    wl = spec.workload
-    return HashTable(
-        HashTableConfig(
-            num_records=wl.num_records,
-            record_bytes=wl.record_bytes,
-            local_fraction=wl.local_fraction,
-            ops_per_thread=wl.ops_per_thread,
-            pipeline_depth=wl.pipeline_depth,
-        )
-    )
-
-
-def build_scenario(
-    spec: ScenarioSpec,
-    cost: Optional[CostModel] = None,
-    remote_bytes: Optional[int] = None,
-):
-    """Assemble the deployment a spec describes (without running it)."""
-    from repro.experiments.common import MicrobenchDeployment
-
-    spec.validate()
-    cost = cost or CostModel()
-    if remote_bytes is None:
-        remote_bytes = max(_make_table(spec).remote_bytes_needed(), 1 << 16)
-    bed = Testbed(
-        seed=spec.seed,
-        cost=cost,
-        bandwidth_gbps=spec.link.bandwidth_gbps,
-        propagation_delay_ns=spec.link.propagation_delay_ns,
-    )
-    compute = bed.add_host(
-        "compute", cpu_cores=spec.compute.cpu_cores, smt=spec.compute.smt
-    )
-    built = SYSTEMS.build(
-        spec.system,
-        BuildContext(
-            bed=bed, compute=compute, threads=spec.workload.threads,
-            remote_bytes=remote_bytes, cost=cost,
-            pipeline_depth=spec.workload.pipeline_depth,
-            pool_shards=spec.pool.shards,
-            engine_config=dict(spec.engine.config),
-        ),
-    )
-    return MicrobenchDeployment(
-        system=spec.system, bed=bed, compute=compute, backends=built.backends,
-        pool_host=built.pool_host, engine=built.engine, pool=built.pool,
-        pool_hosts=dict(built.pool_hosts),
-    )
+__all__ = ["run_scenario"]
 
 
 def run_scenario(
@@ -82,13 +26,14 @@ def run_scenario(
     cost: Optional[CostModel] = None,
     deadline_ns: float = 60e9,
 ):
-    """Run a scenario end-to-end; returns a ``MicrobenchResult``."""
-    from repro.experiments.common import drive_probe_workload
-
-    cost = cost or CostModel()
-    table = _make_table(spec)
-    remote_bytes = max(table.remote_bytes_needed(), 1 << 16)
-    deployment = build_scenario(spec, cost=cost, remote_bytes=remote_bytes)
-    return drive_probe_workload(
-        deployment, table, cost, seed=spec.seed, deadline_ns=deadline_ns
+    """Validate and run a scenario end-to-end; returns a ``MicrobenchResult``."""
+    spec.validate()
+    wl = spec.workload
+    return run_microbench(
+        spec.system, wl.threads, record_bytes=wl.record_bytes,
+        ops_per_thread=wl.ops_per_thread, num_records=wl.num_records,
+        local_fraction=wl.local_fraction, pipeline_depth=wl.pipeline_depth,
+        cost=cost, seed=spec.seed, deadline_ns=deadline_ns,
+        pool_shards=spec.pool.shards, engine_config=dict(spec.engine.config),
+        compute=spec.compute, link=spec.link,
     )

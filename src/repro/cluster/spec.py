@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from repro.cluster.registry import SYSTEMS
+from repro.cowbird.p4_engine import P4EngineConfig
+from repro.cowbird.spot_engine import SpotEngineConfig
 
 __all__ = [
     "EngineSpec",
@@ -64,7 +67,6 @@ class PoolSpec:
     """The memory pool: one host, or a region striped over N shards."""
 
     shards: int = 1
-    capacity_bytes: Optional[int] = None
 
 
 @dataclass
@@ -103,47 +105,88 @@ class ScenarioSpec:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` unless the spec is runnable."""
+        """Raise :class:`ScenarioError` unless the spec is runnable.
+
+        Each field's type is checked before its range (a ``bool`` is not
+        a number here), so bad input fails before any simulation starts,
+        with a message naming the field.
+        """
+        _check("name", self.name, str)
         if not self.name:
             raise ScenarioError("scenario needs a non-empty name")
+        _check("system", self.system, str)
         if self.system not in SYSTEMS:
             raise ScenarioError(
                 f"unknown system {self.system!r}; pick from {SYSTEMS.names()}"
             )
-        if self.compute.cpu_cores < 1:
-            raise ScenarioError("compute.cpu_cores must be >= 1")
-        if self.compute.smt < 1:
-            raise ScenarioError("compute.smt must be >= 1")
-        if self.pool.shards < 1:
-            raise ScenarioError("pool.shards must be >= 1")
+        _check("seed", self.seed, int)
+        _check("compute.cpu_cores", self.compute.cpu_cores, int, low=1)
+        _check("compute.smt", self.compute.smt, int, low=1)
+        link = self.link
+        if link.bandwidth_gbps is not None:
+            _check("link.bandwidth_gbps", link.bandwidth_gbps, float)
+            if link.bandwidth_gbps <= 0:
+                raise ScenarioError("link.bandwidth_gbps must be > 0")
+        if link.propagation_delay_ns is not None:
+            _check("link.propagation_delay_ns", link.propagation_delay_ns,
+                   float, low=0)
+        _check("pool.shards", self.pool.shards, int, low=1)
         if self.pool.shards > 1 and not SYSTEMS.supports_sharding(self.system):
             raise ScenarioError(
                 f"system {self.system!r} does not support sharded pools"
             )
-        if self.engine.config and not self.system.startswith("cowbird"):
-            raise ScenarioError(
-                "engine.config overrides only apply to cowbird systems"
-            )
+        self._validate_engine_config()
         wl = self.workload
-        if wl.threads < 1:
-            raise ScenarioError("workload.threads must be >= 1")
+        _check("workload.threads", wl.threads, int, low=1)
         if wl.threads > self.compute.cpu_cores * self.compute.smt:
             raise ScenarioError(
                 f"workload.threads={wl.threads} exceeds compute capacity "
                 f"({self.compute.cpu_cores} cores x {self.compute.smt} SMT)"
             )
-        if wl.record_bytes < 1:
-            raise ScenarioError("workload.record_bytes must be >= 1")
-        if wl.ops_per_thread < 1:
-            raise ScenarioError("workload.ops_per_thread must be >= 1")
-        if wl.num_records < 1:
-            raise ScenarioError("workload.num_records must be >= 1")
-        if not 0.0 <= wl.local_fraction <= 1.0:
-            raise ScenarioError("workload.local_fraction must be in [0, 1]")
-        if wl.pipeline_depth < 1:
-            raise ScenarioError("workload.pipeline_depth must be >= 1")
-        if self.link.bandwidth_gbps is not None and self.link.bandwidth_gbps <= 0:
-            raise ScenarioError("link.bandwidth_gbps must be > 0")
+        _check("workload.record_bytes", wl.record_bytes, int, low=1)
+        _check("workload.ops_per_thread", wl.ops_per_thread, int, low=1)
+        _check("workload.num_records", wl.num_records, int, low=1)
+        _check("workload.local_fraction", wl.local_fraction, float,
+               low=0, high=1)
+        _check("workload.pipeline_depth", wl.pipeline_depth, int, low=1)
+        if self.system == "cowbird-p4":
+            mtu = P4EngineConfig(**self.engine.config).mtu_bytes
+            if wl.record_bytes > mtu:
+                # Known engine defect (ROADMAP item 1): a write train that
+                # spans packets can be overtaken on its channel, and the
+                # Go-Back-N replay then stalls the run.
+                raise ScenarioError(
+                    f"workload.record_bytes={wl.record_bytes} exceeds the "
+                    f"cowbird-p4 engine's {mtu}-byte MTU; multi-packet "
+                    "records can stall the P4 engine"
+                )
+
+    def _validate_engine_config(self) -> None:
+        """Check overrides against the engine config dataclass they patch."""
+        config = self.engine.config
+        if not isinstance(config, dict):
+            raise ScenarioError(f"engine.config must be a table, got {config!r}")
+        if not config:
+            return
+        if not self.system.startswith("cowbird"):
+            raise ScenarioError(
+                "engine.config overrides only apply to cowbird systems"
+            )
+        config_cls = (
+            P4EngineConfig if self.system == "cowbird-p4" else SpotEngineConfig
+        )
+        defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+        for key, value in config.items():
+            if key not in defaults:
+                raise ScenarioError(
+                    f"unknown engine.config key {key!r} for {self.system!r}; "
+                    f"pick from {sorted(defaults)}"
+                )
+            _check(f"engine.config.{key}", value, type(defaults[key]))
+        try:
+            config_cls(**config)
+        except ValueError as exc:
+            raise ScenarioError(f"engine.config: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Serialization
@@ -178,6 +221,25 @@ class ScenarioSpec:
             if required not in kwargs:
                 raise ScenarioError(f"scenario is missing {required!r}")
         return cls(**kwargs)
+
+
+def _check(field_name: str, value, kind: type, low=None, high=None) -> None:
+    """Raise :class:`ScenarioError` unless ``value`` is a ``kind`` in range.
+
+    An ``int`` passes as a ``float``; a ``bool`` passes only as a
+    ``bool``; a ``float`` must be finite.
+    """
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        raise ScenarioError(
+            f"{field_name} must be {kind.__name__}, got {value!r}"
+        )
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"{field_name} must be finite, got {value!r}")
+    if low is not None and value < low:
+        raise ScenarioError(f"{field_name} must be >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise ScenarioError(f"{field_name} must be <= {high}, got {value!r}")
 
 
 def _build_section(section_cls, section_name: str, value: dict):

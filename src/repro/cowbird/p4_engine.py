@@ -81,6 +81,19 @@ class P4EngineConfig:
     probe_policy: str = "round-robin"
     idle_stride: int = 8
 
+    def __post_init__(self) -> None:
+        # A zero interval re-arms a tick at the same instant forever.
+        for name in ("probe_interval_ns", "timeout_ns", "mtu_bytes",
+                     "adaptive_max_interval_ns", "idle_stride"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if self.probe_policy not in ("round-robin", "weighted"):
+            raise ValueError(
+                f"probe_policy must be 'round-robin' or 'weighted', "
+                f"got {self.probe_policy!r}"
+            )
+
 
 @dataclass
 class P4EngineStats:

@@ -59,6 +59,15 @@ class SpotEngineConfig:
     #: Maximum WQEs chained into one doorbell-batched post.
     max_post_batch: int = 128
 
+    def __post_init__(self) -> None:
+        # A zero poll interval would spin the agent without advancing
+        # simulated time; zero sizes never make progress.
+        for name in ("batch_size", "batch_max_bytes", "poll_interval_ns",
+                     "staging_bytes", "max_post_batch"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+
 
 @dataclass
 class SpotEngineStats:

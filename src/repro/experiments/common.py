@@ -1,9 +1,11 @@
 """Shared experiment scaffolding: system builders and runners.
 
-``build_microbench`` assembles a complete simulated deployment of one
-system-under-test (testbed, hosts, QPs/engines, per-thread backends);
-``run_microbench`` drives the Section 8.1 hash-table probe loop on it
-and aggregates per-thread results.
+``build_microbench`` is the one place a system-under-test is assembled
+(testbed with its links, compute host, pool hosts, QPs/engines,
+per-thread backends): figures, scenarios, examples and tests all build
+through it.  ``run_microbench`` drives the Section 8.1 hash-table probe
+loop on it and aggregates per-thread results; ``repro run scenario``
+is ``run_microbench`` called with a spec's fields.
 
 Systems are resolved through the :data:`repro.cluster.SYSTEMS` registry
 — each legend entry registers a builder in ``repro.cluster.builders``,
@@ -30,8 +32,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.baselines.backends import Backend
-from repro.cluster import SYSTEMS, BuildContext
+from repro.cluster import SYSTEMS, BuildContext, HostSpec, LinkSpec
 from repro.sim.cpu import CostModel
+from repro.sim.network import FaultInjector
 from repro.sim.trace import mops
 from repro.testbed import Host, Testbed
 from repro.workloads.hashtable import HashTable, HashTableConfig, probe_worker
@@ -46,10 +49,6 @@ __all__ = [
 
 #: Legend order comes straight from the registry (registration order).
 MICROBENCH_SYSTEMS = SYSTEMS.names()
-
-#: Compute-node shape from Section 7: Xeon Silver 4110, 8 cores + HT.
-COMPUTE_CORES = 8
-COMPUTE_SMT = 2
 
 
 @dataclass
@@ -70,6 +69,20 @@ class MicrobenchDeployment:
     @property
     def sim(self):
         return self.bed.sim
+
+    @property
+    def instances(self) -> list:
+        """The Cowbird instance behind each worker (cowbird systems)."""
+        return [backend.instance for backend in self.backends]
+
+    @property
+    def region(self):
+        """The remote region handle the Cowbird instances address."""
+        return self.instances[0].remote_regions[0]
+
+    def pool_region(self):
+        """The backing memory region on the pool (for test assertions)."""
+        return self.pool.region_for(self.region)
 
     def close(self) -> None:
         """Stop the engine so the deployment leaks no recurring events.
@@ -122,24 +135,39 @@ def build_microbench(
     pipeline_depth: int = 100,
     pool_shards: int = 1,
     engine_config: Optional[dict] = None,
+    compute: Optional[HostSpec] = None,
+    link: Optional[LinkSpec] = None,
+    fault_injector: Optional[FaultInjector] = None,
 ) -> MicrobenchDeployment:
-    """Assemble one system-under-test with ``threads`` worker backends."""
+    """Assemble one system-under-test with ``threads`` worker backends.
+
+    ``compute`` shapes the compute host (default: Section 7's 8 cores
+    with SMT 2); ``link`` and ``fault_injector`` configure every link.
+    """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; pick from {SYSTEMS.names()}")
     cost = cost or CostModel()
-    bed = Testbed(seed=seed, cost=cost)
-    compute = bed.add_host("compute", cpu_cores=COMPUTE_CORES, smt=COMPUTE_SMT)
+    compute = compute or HostSpec()
+    link = link or LinkSpec()
+    bed = Testbed(
+        seed=seed, cost=cost, bandwidth_gbps=link.bandwidth_gbps,
+        propagation_delay_ns=link.propagation_delay_ns,
+        fault_injector=fault_injector,
+    )
+    compute_host = bed.add_host(
+        "compute", cpu_cores=compute.cpu_cores, smt=compute.smt
+    )
     built = SYSTEMS.build(
         system,
         BuildContext(
-            bed=bed, compute=compute, threads=threads,
+            bed=bed, compute=compute_host, threads=threads,
             remote_bytes=remote_bytes, cost=cost,
             pipeline_depth=pipeline_depth, pool_shards=pool_shards,
             engine_config=engine_config or {},
         ),
     )
     return MicrobenchDeployment(
-        system=system, bed=bed, compute=compute, backends=built.backends,
+        system=system, bed=bed, compute=compute_host, backends=built.backends,
         pool_host=built.pool_host, engine=built.engine, pool=built.pool,
         pool_hosts=dict(built.pool_hosts),
     )
@@ -154,9 +182,9 @@ def drive_probe_workload(
 ) -> MicrobenchResult:
     """Run the hash-table probe loop on an assembled deployment.
 
-    Shared by ``run_microbench`` and the scenario runner: spawns one
-    ``probe_worker`` per backend, waits for all of them, closes the
-    deployment, and aggregates per-thread results.
+    Shared by ``run_microbench`` and callers that build their own
+    deployment: spawns one ``probe_worker`` per backend, waits for all
+    of them, closes the deployment, and aggregates per-thread results.
     """
     sim = deployment.sim
     threads = len(deployment.backends)
@@ -218,8 +246,15 @@ def run_microbench(
     cost: Optional[CostModel] = None,
     seed: int = 0,
     deadline_ns: float = 60e9,
+    pool_shards: int = 1,
+    engine_config: Optional[dict] = None,
+    compute: Optional[HostSpec] = None,
+    link: Optional[LinkSpec] = None,
 ) -> MicrobenchResult:
-    """Run the Section 8.1 hash-table microbenchmark for one system."""
+    """Run the Section 8.1 hash-table microbenchmark for one system.
+
+    The last four parameters pass through to :func:`build_microbench`.
+    """
     cost = cost or CostModel()
     table = HashTable(
         HashTableConfig(
@@ -233,7 +268,8 @@ def run_microbench(
     remote_bytes = max(table.remote_bytes_needed(), 1 << 16)
     deployment = build_microbench(
         system, threads, remote_bytes=remote_bytes, cost=cost, seed=seed,
-        pipeline_depth=pipeline_depth,
+        pipeline_depth=pipeline_depth, pool_shards=pool_shards,
+        engine_config=engine_config, compute=compute, link=link,
     )
     return drive_probe_workload(
         deployment, table, cost, seed=seed, deadline_ns=deadline_ns

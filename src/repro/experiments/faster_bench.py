@@ -220,7 +220,7 @@ def load_backing(deployment: MicrobenchDeployment, store: FasterKv) -> None:
         return
     # Network systems: cold pages land in the pool region.
     if system.startswith("cowbird"):
-        handle = backend0.instance.remote_regions[0]
+        handle = deployment.region
     else:
         handle = backend0.region
     pool_region = deployment.pool_host.registry.by_rkey(handle.rkey)

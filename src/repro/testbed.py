@@ -175,7 +175,6 @@ class Testbed:
         self,
         name: str,
         pool=None,
-        capacity_bytes: Optional[int] = None,
         **host_kwargs,
     ) -> tuple[Host, "MemoryPool"]:
         """Create a host serving a memory pool, cabled to the switch.
@@ -190,7 +189,7 @@ class Testbed:
 
         host = self.add_host(name, **host_kwargs)
         if pool is None:
-            pool = MemoryPool(name, capacity_bytes=capacity_bytes)
+            pool = MemoryPool(name)
         host.attach_pool(pool)
         return host, pool
 

@@ -17,8 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import OffloadEngine, load_scenario
-from repro.cluster.scenario import build_scenario, run_scenario
-from repro.experiments.common import MICROBENCH_SYSTEMS, run_microbench
+from repro.cluster.scenario import run_scenario
+from repro.experiments.common import (
+    MICROBENCH_SYSTEMS,
+    build_microbench,
+    run_microbench,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden" / "fig08_point.json"
@@ -69,7 +73,9 @@ class TestScenarioReproducesFigure:
 class TestBuildScenario:
     def test_built_engine_satisfies_protocol_and_closes(self):
         spec = load_scenario(SCENARIO_DIR / "fig08_point_sharded.toml")
-        deployment = build_scenario(spec)
+        deployment = build_microbench(
+            spec.system, spec.workload.threads, pool_shards=spec.pool.shards
+        )
         assert isinstance(deployment.engine, OffloadEngine)
         assert sorted(deployment.pool_hosts) == ["pool0", "pool1"]
         assert len(deployment.backends) == spec.workload.threads
@@ -79,7 +85,9 @@ class TestBuildScenario:
     def test_engine_config_overrides_reach_the_engine(self):
         spec = load_scenario(SCENARIO_DIR / "fig08_point.toml")
         spec.engine.config = {"batch_size": 17}
-        deployment = build_scenario(spec)
+        deployment = build_microbench(
+            spec.system, spec.workload.threads, engine_config=spec.engine.config
+        )
         assert deployment.engine.config.batch_size == 17
         deployment.close()
 
@@ -87,4 +95,4 @@ class TestBuildScenario:
         spec = load_scenario(SCENARIO_DIR / "fig08_point.toml")
         spec.system = "nonexistent"
         with pytest.raises(Exception):
-            build_scenario(spec)
+            run_scenario(spec)

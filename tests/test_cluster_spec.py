@@ -1,9 +1,11 @@
 """ScenarioSpec loading/validation and the SystemRegistry contract."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import (
     SYSTEMS,
@@ -17,6 +19,7 @@ from repro.cluster import (
     WorkloadSpec,
     load_scenario,
 )
+from repro.cluster.scenario import run_scenario
 from repro.cluster.spec import _parse_toml_subset
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
@@ -105,9 +108,42 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             _spec(workload=workload).validate()
 
+    def test_p4_records_limited_to_one_mtu(self):
+        def p4_spec(record_bytes):
+            return _spec(
+                system="cowbird-p4",
+                workload=WorkloadSpec(record_bytes=record_bytes),
+            )
+
+        p4_spec(1024).validate()
+        with pytest.raises(ScenarioError, match="record_bytes.*MTU"):
+            p4_spec(1025).validate()
+
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ScenarioError, match="shards"):
             _spec(pool=PoolSpec(shards=0)).validate()
+
+    BAD_INPUTS = [
+        ("workload", {"threads": "4"}, "workload.threads"),
+        ("system", ["cowbird"], "system"),
+        ("compute", {"cpu_cores": 2.5}, "compute.cpu_cores"),
+        ("seed", "abc", "seed"),
+        ("link", {"propagation_delay_ns": -5}, "link.propagation_delay_ns"),
+        ("engine", {"config": {"nonexistent_field": 1}}, "nonexistent_field"),
+        ("engine", {"config": "oops"}, "engine.config"),
+        ("engine", {"config": {"poll_interval_ns": 0}}, "poll_interval_ns"),
+        ("name", 5, "name"),
+        ("pool", {"capacity_bytes": 10}, "capacity_bytes"),
+    ]
+
+    @pytest.mark.parametrize(
+        "key, value, field", BAD_INPUTS, ids=[case[2] for case in BAD_INPUTS]
+    )
+    def test_bad_input_names_the_field(self, key, value, field):
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            ScenarioSpec.from_dict(
+                {"name": "t", "system": "cowbird", key: value}
+            ).validate()
 
 
 class TestSerialization:
@@ -204,3 +240,95 @@ class TestTomlFallbackParser:
             _parse_toml_subset("just some words\n", "inline")
         with pytest.raises(ScenarioError, match="cannot parse value"):
             _parse_toml_subset("k = [1, 2]\n", "inline")
+
+
+# Values of the wrong type for any field or section.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+# Engine overrides: valid ones, ones for the other engine, bad values.
+ENGINE_CONFIGS = (
+    {"batch_size": 8}, {"probe_interval_ns": 4_000},
+    {"probe_policy": "weighted"}, {"probe_policy": "zigzag"},
+    {"poll_interval_ns": 0.0}, {"probe_interval_ns": 0},
+    {"max_post_batch": 0}, {"batch_size": 8.0},
+)
+
+FIELD_PATHS = (
+    ("name",), ("system",), ("seed",), ("compute",), ("link",), ("pool",),
+    ("engine",), ("workload",), ("compute", "cpu_cores"), ("compute", "smt"),
+    ("link", "bandwidth_gbps"), ("link", "propagation_delay_ns"),
+    ("pool", "shards"), ("engine", "config"), ("workload", "threads"),
+    ("workload", "record_bytes"), ("workload", "ops_per_thread"),
+    ("workload", "num_records"), ("workload", "local_fraction"),
+    ("workload", "pipeline_depth"), ("typo",), ("workload", "typo"),
+)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A small valid scenario, then up to two fields corrupted.
+
+    A corrupted field gets a value of the wrong type or an edge value
+    (zero, negative, fractional, or beyond the 16-thread compute host).
+    """
+    system = draw(st.sampled_from(ALL_SYSTEMS))
+    engine_config = {}
+    if system.startswith("cowbird") and draw(st.booleans()):
+        engine_config = draw(st.sampled_from(ENGINE_CONFIGS))
+    data = {
+        "name": "fuzz",
+        "system": system,
+        "seed": draw(st.integers(-2, 5)),
+        "compute": {
+            "cpu_cores": draw(st.integers(2, 4)),
+            "smt": draw(st.integers(1, 2)),
+        },
+        "link": {
+            "bandwidth_gbps": draw(st.sampled_from([None, 25, 100.0])),
+            "propagation_delay_ns": draw(st.sampled_from([None, 0, 500.0])),
+        },
+        "pool": {"shards": draw(st.sampled_from([1, 1, 1, 2]))},
+        "engine": {"config": engine_config},
+        "workload": {
+            "threads": draw(st.integers(1, 4)),
+            "record_bytes": draw(st.sampled_from([1, 8, 256, 4096, 1 << 16])),
+            "ops_per_thread": draw(st.integers(1, 6)),
+            "num_records": draw(st.integers(1, 64)),
+            "local_fraction": draw(st.floats(0.0, 1.0)),
+            "pipeline_depth": draw(st.integers(1, 8)),
+        },
+    }
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        *parents, leaf = draw(st.sampled_from(FIELD_PATHS))
+        table = data
+        for parent in parents:
+            table = table[parent]
+            if not isinstance(table, dict):
+                break
+        else:
+            table[leaf] = draw(
+                st.one_of(JUNK, st.sampled_from([0, -1, -5, 1.5, 17]))
+            )
+    return data
+
+
+class TestScenarioFuzz:
+    """Every input is rejected with ScenarioError, or runs to completion."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario_dicts())
+    def test_rejects_or_runs(self, data):
+        try:
+            spec = ScenarioSpec.from_dict(data)
+            spec.validate()
+        except ScenarioError:
+            return
+        result = run_scenario(spec, deadline_ns=1e7)
+        wl = spec.workload
+        assert result.total_ops == wl.threads * wl.ops_per_thread

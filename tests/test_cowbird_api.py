@@ -1,20 +1,17 @@
 """Unit tests for the Cowbird client library (engine-less).
 
-These tests use ``deploy_cowbird(engine="none")`` and play the offload
-engine by hand, asserting the exact local-memory protocol of Section 4:
-what the client publishes in its green block, how requests are laid out
-in the rings, and how progress counters drive poll_wait.
+These tests build the client with ``hand_built_cowbird()`` (no offload
+engine) and play the engine by hand, asserting the exact local-memory
+protocol of Section 4: what the client publishes in its green block, how
+requests are laid out in the rings, and how progress counters drive
+poll_wait.
 """
 
 import pytest
 
 from repro.cowbird.api import BufferFullError, CowbirdConfig
-from repro.cowbird.deploy import deploy_cowbird
 from repro.cowbird.wire import GreenBlock, RedBlock, RwType, decode_request_id
-
-
-def deploy(**kwargs):
-    return deploy_cowbird(engine="none", **kwargs)
+from tests.conftest import hand_built_cowbird
 
 
 def run(dep, generator, deadline=10_000_000):
@@ -31,7 +28,7 @@ def push_red(instance, **fields):
 
 class TestIssueRead:
     def test_returns_typed_request_id(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -45,7 +42,7 @@ class TestIssueRead:
         assert seq == 1
 
     def test_publishes_green_tail(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -58,7 +55,7 @@ class TestIssueRead:
         assert GreenBlock.unpack(raw).request_meta_tail == 2
 
     def test_metadata_entry_contents(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -76,7 +73,7 @@ class TestIssueRead:
 
     def test_only_local_memory_cpu_cost(self):
         """The whole point: issuing costs tens of ns, not ~630 ns."""
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -89,7 +86,7 @@ class TestIssueRead:
         assert comm_ns < 100
 
     def test_unknown_region_rejected(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -100,7 +97,7 @@ class TestIssueRead:
             run(dep, app())
 
     def test_out_of_range_offset_rejected(self):
-        dep = deploy(remote_bytes=1024)
+        dep = hand_built_cowbird(remote_bytes=1024)
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -113,7 +110,7 @@ class TestIssueRead:
 
 class TestIssueWrite:
     def test_payload_lands_in_request_data_ring(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -128,7 +125,7 @@ class TestIssueWrite:
 
     def test_write_sequence_independent_of_reads(self):
         """Per-type sequence counters (Section 4.3)."""
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         ids = []
@@ -144,7 +141,7 @@ class TestIssueWrite:
         assert decode_request_id(ids[2])[2] == 2
 
     def test_empty_write_rejected(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -157,7 +154,9 @@ class TestIssueWrite:
 
 class TestBackpressure:
     def test_metadata_ring_full_raises_buffer_full(self):
-        dep = deploy(cowbird_config=CowbirdConfig(metadata_capacity=4))
+        dep = hand_built_cowbird(
+            cowbird_config=CowbirdConfig(metadata_capacity=4)
+        )
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -169,7 +168,7 @@ class TestBackpressure:
             run(dep, app())
 
     def test_response_ring_full_raises_buffer_full(self):
-        dep = deploy(
+        dep = hand_built_cowbird(
             cowbird_config=CowbirdConfig(response_data_capacity=256)
         )
         inst = dep.instances[0]
@@ -184,7 +183,9 @@ class TestBackpressure:
             run(dep, app())
 
     def test_engine_head_advance_frees_metadata_ring(self):
-        dep = deploy(cowbird_config=CowbirdConfig(metadata_capacity=2))
+        dep = hand_built_cowbird(
+            cowbird_config=CowbirdConfig(metadata_capacity=2)
+        )
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -204,7 +205,7 @@ class TestBackpressure:
 
 class TestPollInterface:
     def test_poll_wait_returns_after_progress(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
         sim = dep.sim
@@ -226,7 +227,7 @@ class TestPollInterface:
         assert sim.now >= 5_000
 
     def test_poll_wait_timeout_returns_empty(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -241,7 +242,7 @@ class TestPollInterface:
         assert dep.sim.now >= 10_000
 
     def test_poll_remove_drops_interest(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -257,7 +258,7 @@ class TestPollInterface:
         assert events == []
 
     def test_write_and_read_completions_tracked_separately(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -277,7 +278,7 @@ class TestPollInterface:
         assert events[0].rw_type is RwType.WRITE
 
     def test_unknown_poll_id_raises(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         with pytest.raises(KeyError):
             inst.poll_add(999, 1)
@@ -285,7 +286,7 @@ class TestPollInterface:
 
 class TestResponseConsumption:
     def test_fetch_response_returns_engine_written_bytes(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -303,7 +304,7 @@ class TestResponseConsumption:
         assert run(dep, app()) == b"A" * 16
 
     def test_fetch_before_completion_raises(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -315,7 +316,9 @@ class TestResponseConsumption:
             run(dep, app())
 
     def test_fetch_frees_response_ring_in_order(self):
-        dep = deploy(cowbird_config=CowbirdConfig(response_data_capacity=1024))
+        dep = hand_built_cowbird(
+            cowbird_config=CowbirdConfig(response_data_capacity=1024)
+        )
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -335,7 +338,7 @@ class TestResponseConsumption:
         assert inst.response_data.head == 200
 
     def test_write_has_no_response_payload(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         thread = dep.compute.cpu.thread()
 
@@ -349,19 +352,19 @@ class TestResponseConsumption:
 
 class TestMultiInstance:
     def test_instances_have_disjoint_regions(self):
-        dep = deploy(num_instances=3)
+        dep = hand_built_cowbird(num_instances=3)
         regions = [inst.region for inst in dep.instances]
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
                 assert a.end_addr <= b.base_addr or b.end_addr <= a.base_addr
 
     def test_shared_remote_region_visible_to_all(self):
-        dep = deploy(num_instances=2)
+        dep = hand_built_cowbird(num_instances=2)
         for inst in dep.instances:
             assert 0 in inst.remote_regions
 
     def test_descriptor_reflects_layout(self):
-        dep = deploy()
+        dep = hand_built_cowbird()
         inst = dep.instances[0]
         descriptor = inst.descriptor()
         assert descriptor.node == "compute"

@@ -11,9 +11,8 @@ import random
 
 import pytest
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
 from repro.cowbird.wire import RwType, decode_request_id
+from repro.experiments.common import build_microbench
 from repro.sim.network import FaultInjector
 
 REGION_BYTES = 1 << 14
@@ -106,12 +105,12 @@ def random_workload_check(dep, seed, ops=60, deadline=500e9):
 @pytest.mark.parametrize("seed", [1, 7, 42])
 class TestSpotLinearizability:
     def test_random_mix(self, seed):
-        dep = deploy_cowbird(engine="spot", remote_bytes=REGION_BYTES)
+        dep = build_microbench("cowbird", 1, remote_bytes=REGION_BYTES)
         random_workload_check(dep, seed)
 
     def test_random_mix_under_loss(self, seed):
-        dep = deploy_cowbird(
-            engine="spot", remote_bytes=REGION_BYTES,
+        dep = build_microbench(
+            "cowbird", 1, remote_bytes=REGION_BYTES,
             fault_injector=FaultInjector(seed=seed, drop_rate=0.01),
         )
         random_workload_check(dep, seed, ops=40)
@@ -120,13 +119,13 @@ class TestSpotLinearizability:
 @pytest.mark.parametrize("seed", [3, 11])
 class TestP4Linearizability:
     def test_random_mix(self, seed):
-        dep = deploy_cowbird(engine="p4", remote_bytes=REGION_BYTES)
+        dep = build_microbench("cowbird-p4", 1, remote_bytes=REGION_BYTES)
         random_workload_check(dep, seed)
 
     def test_random_mix_under_loss(self, seed):
-        dep = deploy_cowbird(
-            engine="p4", remote_bytes=REGION_BYTES,
+        dep = build_microbench(
+            "cowbird-p4", 1, remote_bytes=REGION_BYTES,
+            engine_config={"timeout_ns": 100_000},
             fault_injector=FaultInjector(seed=seed + 100, drop_rate=0.01),
-            p4_config=P4EngineConfig(timeout_ns=100_000),
         )
         random_workload_check(dep, seed, ops=40)

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.cowbird.deploy import deploy_cowbird
-from repro.cowbird.p4_engine import P4EngineConfig
+from repro.experiments.common import build_microbench
 from repro.rdma.packets import psn_add
 
 
 def build(num_instances=1, **p4_kwargs):
-    return deploy_cowbird(
-        engine="p4", num_instances=num_instances,
-        p4_config=P4EngineConfig(**p4_kwargs),
+    return build_microbench(
+        "cowbird-p4", num_instances, remote_bytes=1 << 20,
+        engine_config=p4_kwargs,
     )
 
 

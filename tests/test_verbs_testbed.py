@@ -1,12 +1,13 @@
-"""Unit tests for the verbs layer, testbed assembly, and deploy helper."""
+"""Unit tests for the verbs layer, testbed assembly, and Cowbird deployments."""
 
 import pytest
 
-from repro.cowbird.deploy import deploy_cowbird
+from repro.experiments.common import build_microbench
 from repro.rdma.nic import NicConfig
 from repro.rdma.verbs import RdmaError
 from repro.sim.cpu import CostModel, TAG_COMM
 from repro.testbed import Testbed
+from tests.conftest import hand_built_cowbird
 
 
 class TestVerbsCosts:
@@ -120,25 +121,25 @@ class TestTestbedAssembly:
 class TestDeployHelper:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            deploy_cowbird(engine="fpga")
+            build_microbench("cowbird-fpga", 1)
 
     def test_none_engine_builds_client_only(self):
-        dep = deploy_cowbird(engine="none")
+        dep = hand_built_cowbird()
         assert dep.engine is None
-        assert dep.agent_host is None
+        assert "spot-agent" not in dep.bed.hosts
         assert len(dep.instances) == 1
 
     def test_p4_engine_has_no_agent_host(self):
-        dep = deploy_cowbird(engine="p4")
-        assert dep.agent_host is None
+        dep = build_microbench("cowbird-p4", 1, remote_bytes=1 << 20)
+        assert "spot-agent" not in dep.bed.hosts
         assert dep.engine is not None
 
     def test_multiple_instances(self):
-        dep = deploy_cowbird(engine="spot", num_instances=3)
+        dep = build_microbench("cowbird", 3, remote_bytes=1 << 20)
         assert len(dep.instances) == 3
         assert len(dep.engine._instances) == 3
 
     def test_pool_region_accessor(self):
-        dep = deploy_cowbird(engine="none", remote_bytes=4096)
+        dep = build_microbench("cowbird", 1, remote_bytes=4096)
         region = dep.pool_region()
         assert region.length == 4096
